@@ -247,7 +247,8 @@ func b2u(b bool) uint64 {
 
 // BTB is a set-associative branch target buffer.
 type BTB struct {
-	sets    [][]btbWay
+	ways    []btbWay // sets of assoc consecutive ways
+	assoc   int
 	setMask uint64
 	stamp   uint64
 }
@@ -273,16 +274,18 @@ func NewBTB(entries, assoc int) *BTB {
 	for nsets&(nsets-1) != 0 {
 		nsets++
 	}
-	b := &BTB{sets: make([][]btbWay, nsets), setMask: uint64(nsets - 1)}
-	for i := range b.sets {
-		b.sets[i] = make([]btbWay, assoc)
-	}
-	return b
+	return &BTB{ways: make([]btbWay, nsets*assoc), assoc: assoc, setMask: uint64(nsets - 1)}
+}
+
+// set returns the ways of the set the branch at pc maps to.
+func (b *BTB) set(pc uint64) []btbWay {
+	base := int((pc>>2)&b.setMask) * b.assoc
+	return b.ways[base : base+b.assoc : base+b.assoc]
 }
 
 // Lookup returns the predicted target for the branch at pc.
 func (b *BTB) Lookup(pc uint64) (uint64, bool) {
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	for i := range set {
 		if set[i].valid && set[i].tag == pc {
 			b.stamp++
@@ -295,7 +298,7 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 
 // Update installs or refreshes the target for the branch at pc.
 func (b *BTB) Update(pc, target uint64) {
-	set := b.sets[(pc>>2)&b.setMask]
+	set := b.set(pc)
 	b.stamp++
 	victim := 0
 	for i := range set {
@@ -315,8 +318,11 @@ func (b *BTB) Update(pc, target uint64) {
 	set[victim] = btbWay{tag: pc, target: target, valid: true, lru: b.stamp}
 }
 
-// RAS is a circular return address stack with full-copy checkpointing
-// for speculative recovery (small enough that copying is cheap).
+// RAS is a circular return address stack. Misspeculation recovery
+// checkpoints the whole stack: Save copies it into a buffer the caller
+// owns (Entries words, typically one per in-flight branch, allocated
+// once) and Restore copies it back. A top-of-stack checkpoint would be
+// smaller but cannot undo a wrong path that pushes more than once.
 type RAS struct {
 	stack []uint64
 	top   int
@@ -343,23 +349,20 @@ func (r *RAS) Pop() uint64 {
 	return v
 }
 
-// Snapshot captures the full RAS state for misspeculation recovery.
-func (r *RAS) Snapshot() RASSnapshot {
-	s := RASSnapshot{top: r.top, stack: make([]uint64, len(r.stack))}
-	copy(s.stack, r.stack)
-	return s
+// Entries returns the stack depth, the length of a checkpoint buffer.
+func (r *RAS) Entries() int { return len(r.stack) }
+
+// Save checkpoints the full RAS state: it copies the stack into buf,
+// which must hold Entries words, and returns the top index.
+func (r *RAS) Save(buf []uint64) (top int) {
+	copy(buf, r.stack)
+	return r.top
 }
 
-// Restore rewinds the RAS to a snapshot.
-func (r *RAS) Restore(s RASSnapshot) {
-	r.top = s.top
-	copy(r.stack, s.stack)
-}
-
-// RASSnapshot is an opaque RAS checkpoint.
-type RASSnapshot struct {
-	top   int
-	stack []uint64
+// Restore rewinds the RAS to a checkpoint taken by Save.
+func (r *RAS) Restore(top int, buf []uint64) {
+	r.top = top
+	copy(r.stack, buf)
 }
 
 // Audit checks the stack's structural bounds: the top pointer must

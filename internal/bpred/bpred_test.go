@@ -188,11 +188,15 @@ func TestRASSnapshotRestore(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(0x111)
 	r.Push(0x222)
-	snap := r.Snapshot()
+	buf := make([]uint64, r.Entries())
+	top := r.Save(buf)
+	// A wrong path that pops and then pushes past the stack depth
+	// overwrites every slot; the full-stack checkpoint undoes it all.
 	r.Pop()
-	r.Push(0x333)
-	r.Push(0x444)
-	r.Restore(snap)
+	for i := 0; i < 10; i++ {
+		r.Push(0x333 + uint64(i))
+	}
+	r.Restore(top, buf)
 	if got := r.Pop(); got != 0x222 {
 		t.Fatalf("after restore pop = %#x, want 0x222", got)
 	}

@@ -84,10 +84,12 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is one set-associative, physically tagged cache array.
+// Cache is one set-associative, physically tagged cache array. The
+// sets are consecutive runs of assoc lines in one backing array.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line
+	assoc     int
 	setMask   uint64
 	lineShift uint
 	stamp     uint64
@@ -114,11 +116,14 @@ func NewCache(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1), lineShift: shift}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
-	return c
+	return &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), assoc: cfg.Assoc,
+		setMask: uint64(nsets - 1), lineShift: shift}
+}
+
+// set returns the ways of set i.
+func (c *Cache) set(i uint64) []line {
+	base := int(i) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc]
 }
 
 // Config returns the cache geometry.
@@ -138,7 +143,7 @@ func (c *Cache) Bank(pa uint64) int {
 
 func (c *Cache) find(pa uint64) (set []line, idx int) {
 	tag := pa >> c.lineShift
-	set = c.sets[tag&c.setMask]
+	set = c.set(tag & c.setMask)
 	for i := range set {
 		if set[i].state != Invalid && set[i].tag == tag {
 			return set, i
@@ -149,11 +154,11 @@ func (c *Cache) find(pa uint64) (set []line, idx int) {
 
 // Probe reports whether pa is resident, without touching LRU state.
 func (c *Cache) Probe(pa uint64) (State, bool) {
-	_, i := c.find(pa)
+	set, i := c.find(pa)
 	if i < 0 {
 		return Invalid, false
 	}
-	return c.sets[(pa>>c.lineShift)&c.setMask][i].state, true
+	return set[i].state, true
 }
 
 // Touch looks up pa and refreshes LRU on hit.
@@ -178,7 +183,7 @@ type Evicted struct {
 // (dirty victims must be written back by the caller's hierarchy).
 func (c *Cache) Fill(pa uint64, st State) Evicted {
 	tag := pa >> c.lineShift
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag & c.setMask)
 	c.stamp++
 	victim := 0
 	for i := range set {
@@ -227,10 +232,8 @@ func (c *Cache) Invalidate(pa uint64) State {
 
 // Flush invalidates the entire cache.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].state = Invalid
-		}
+	for i := range c.lines {
+		c.lines[i].state = Invalid
 	}
 }
 
@@ -241,7 +244,8 @@ func (c *Cache) Flush() {
 // incremented stamp per access, so equality or a future stamp can only
 // arise from corruption).
 func (c *Cache) Audit(name string) error {
-	for si, set := range c.sets {
+	for si := uint64(0); si <= c.setMask; si++ {
+		set := c.set(si)
 		for i := range set {
 			if set[i].state == Invalid {
 				continue
@@ -271,11 +275,9 @@ func (c *Cache) Audit(name string) error {
 // Resident counts valid lines (for tests and occupancy stats).
 func (c *Cache) Resident() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].state != Invalid {
+			n++
 		}
 	}
 	return n

@@ -44,7 +44,7 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			// instruction; flush everything and enter the handler.
 			if th.robCount > 0 {
 				ctx.RIP = th.robAt(0).uop.RIP
-			} else if th.fetchFault != uops.FaultNone || th.curBB != nil || len(th.fetchQ) > 0 {
+			} else if th.fetchFault != uops.FaultNone || th.curBB != nil || th.fqCount > 0 {
 				// keep ctx.RIP (committed boundary)
 			}
 			// Deliver first (it rewrites RSP/RFLAGS/RIP), then flush so
@@ -66,7 +66,7 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 		if th.robCount == 0 {
 			// Nothing in flight: a pending fetch fault becomes an
 			// exception now (its RIP is the fetch RIP).
-			if th.fetchFault != uops.FaultNone && len(th.fetchQ) == 0 {
+			if th.fetchFault != uops.FaultNone && th.fqCount == 0 {
 				fault := th.fetchFault
 				dbgf("fetch fault %v at rip %#x", fault, th.fetchRIP)
 				ctx.RIP = th.fetchRIP
@@ -215,7 +215,7 @@ func (c *Core) commitThread(th *thread, budget int) (int, error) {
 			c.freePhys(e.flOld)
 			c.popLSQ(th, e)
 			e.valid = false
-			th.robHead = (th.robHead + 1) % len(th.rob)
+			th.robHead = wrap(th.robHead+1, len(th.rob))
 			th.robCount--
 		}
 		budget -= n
@@ -311,12 +311,18 @@ func (c *Core) applyStore(th *thread, e *robEntry) (uint64, bool) {
 	return 0, false
 }
 
-// popLSQ removes a committed entry from the head of its LDQ/STQ.
+// popLSQ removes a committed entry from the head of its LDQ/STQ,
+// shifting the rest down so the queue keeps its backing array.
 func (c *Core) popLSQ(th *thread, e *robEntry) {
 	if e.uop.IsLoad() && len(th.ldq) > 0 {
-		th.ldq = th.ldq[1:]
+		th.ldq = popFront(th.ldq)
 	}
 	if e.uop.IsStore() && len(th.stq) > 0 {
-		th.stq = th.stq[1:]
+		th.stq = popFront(th.stq)
 	}
+}
+
+func popFront(q []int) []int {
+	copy(q, q[1:])
+	return q[:len(q)-1]
 }

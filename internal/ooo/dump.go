@@ -23,7 +23,7 @@ func (c *Core) DumpState() string {
 	for _, th := range c.threads {
 		fmt.Fprintf(&b, "  thread %d (vcpu %d): rip=%#x kernel=%v running=%v fetchrip=%#x rob=%d/%d ldq=%d stq=%d fetchq=%d\n",
 			th.id, th.ctx.ID, th.ctx.RIP, th.ctx.Kernel, th.ctx.Running,
-			th.fetchRIP, th.robCount, len(th.rob), len(th.ldq), len(th.stq), len(th.fetchQ))
+			th.fetchRIP, th.robCount, len(th.rob), len(th.ldq), len(th.stq), th.fqCount)
 		n := th.robCount
 		if n > maxDumpEntries {
 			n = maxDumpEntries

@@ -2,7 +2,6 @@ package ooo
 
 import (
 	"ptlsim/internal/bbcache"
-	"ptlsim/internal/bpred"
 	"ptlsim/internal/decode"
 	"ptlsim/internal/evlog"
 	"ptlsim/internal/mem"
@@ -62,7 +61,7 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 		return budget
 	}
 	for budget > 0 {
-		if len(th.fetchQ) >= c.cfg.FetchQSize {
+		if th.fqCount == len(th.fetchQ) {
 			return budget
 		}
 		if th.curBB == nil {
@@ -74,16 +73,19 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 			}
 		}
 		bb := th.curBB
-		u := bb.Uops[th.bbIdx]
-		f := fetched{uop: u}
+		slot := wrap(th.fqHead+th.fqCount, len(th.fetchQ))
+		f := &th.fetchQ[slot]
+		f.uop = bb.Uops[th.bbIdx]
+		u := &f.uop
+		f.fetchCycle = 0
 		if c.ev != nil {
 			f.fetchCycle = c.now
 		}
+		c.predictBranch(th, f, th.fetchRASAt(slot))
+		th.fqCount++
+		budget--
 
 		if u.IsBranch() {
-			f.predTarget, f.predSnapshot, f.rasSnap, f.hasRASSnap = c.predictBranch(th, &u)
-			th.fetchQ = append(th.fetchQ, f)
-			budget--
 			// A REP entry check predicted not-taken falls through to
 			// the iteration body within the same basic block.
 			if th.bbIdx+1 < len(bb.Uops) && f.predTarget == bb.Uops[th.bbIdx+1].RIP {
@@ -99,8 +101,6 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 			continue
 		}
 
-		th.fetchQ = append(th.fetchQ, f)
-		budget--
 		th.bbIdx++
 		if th.bbIdx >= len(bb.Uops) {
 			th.curBB = nil
@@ -110,38 +110,43 @@ func (c *Core) fetchThread(th *thread, budget int) int {
 	return budget
 }
 
-// predictBranch consults the branch predictors at fetch time.
-func (c *Core) predictBranch(th *thread, u *uops.Uop) (target, snapshot uint64, ras bpred.RASSnapshot, hasRAS bool) {
+// predictBranch fills in the fetch-time prediction of the uop in f,
+// consulting the branch predictors if it is a branch. A call or return
+// checkpoints the RAS into ras, the storage of f's fetch queue slot.
+func (c *Core) predictBranch(th *thread, f *fetched, ras []uint64) {
+	u := &f.uop
+	f.predTarget, f.predSnapshot, f.rasTop, f.hasRASSnap = 0, 0, 0, false
+	if !u.IsBranch() {
+		return
+	}
 	next := u.RIP + uint64(u.X86Len)
+	f.predTarget = next
 	switch u.Branch {
 	case uops.BranchCond:
 		taken, snap := th.pred.PredictDirection(u.RIP)
+		f.predSnapshot = snap
+		f.predTarget = u.RIPNot
 		if taken {
-			return u.RIPTaken, snap, bpred.RASSnapshot{}, false
+			f.predTarget = u.RIPTaken
 		}
-		return u.RIPNot, snap, bpred.RASSnapshot{}, false
 	case uops.BranchUncond:
-		return u.RIPTaken, 0, bpred.RASSnapshot{}, false
+		f.predTarget = u.RIPTaken
 	case uops.BranchCall:
-		snap := th.pred.RAS().Snapshot()
+		f.rasTop, f.hasRASSnap = th.pred.RAS().Save(ras), true
 		th.pred.RAS().Push(next)
-		if u.Op == uops.OpBrInd {
-			if t, ok := th.pred.BTBLookup(u.RIP); ok {
-				return t, 0, snap, true
-			}
-			return next, 0, snap, true // no target known: predict poorly
-		}
-		return u.RIPTaken, 0, snap, true
+		if u.Op != uops.OpBrInd {
+			f.predTarget = u.RIPTaken
+		} else if t, ok := th.pred.BTBLookup(u.RIP); ok {
+			f.predTarget = t
+		} // else no target known: predict poorly
 	case uops.BranchRet:
-		snap := th.pred.RAS().Snapshot()
-		return th.pred.RAS().Pop(), 0, snap, true
+		f.rasTop, f.hasRASSnap = th.pred.RAS().Save(ras), true
+		f.predTarget = th.pred.RAS().Pop()
 	case uops.BranchIndirect:
 		if t, ok := th.pred.BTBLookup(u.RIP); ok {
-			return t, 0, bpred.RASSnapshot{}, false
+			f.predTarget = t
 		}
-		return next, 0, bpred.RASSnapshot{}, false
 	}
-	return next, 0, bpred.RASSnapshot{}, false
 }
 
 // openBB locates (or builds) the basic block at the thread's fetch RIP
@@ -209,12 +214,13 @@ func (c *Core) rename() {
 }
 
 func (c *Core) renameThread(th *thread, budget int) int {
-	for budget > 0 && len(th.fetchQ) > 0 {
+	for budget > 0 && th.fqCount > 0 {
 		if th.robCount >= len(th.rob) {
 			c.cFetchStallROB.Inc()
 			return budget
 		}
-		f := th.fetchQ[0]
+		fslot := th.fqHead
+		f := &th.fetchQ[fslot]
 		u := &f.uop
 
 		cl := c.pickCluster(u)
@@ -245,21 +251,26 @@ func (c *Core) renameThread(th *thread, budget int) int {
 			}
 		}
 
-		th.fetchQ = th.fetchQ[1:]
+		// The slot is only reused by fetch, which runs after rename, so
+		// f stays readable for the rest of this iteration.
+		th.fqHead = wrap(th.fqHead+1, len(th.fetchQ))
+		th.fqCount--
 		c.seq++
-		slot := (th.robHead + th.robCount) % len(th.rob)
+		slot := wrap(th.robHead+th.robCount, len(th.rob))
 		th.robCount++
 		e := &th.rob[slot]
-		*e = robEntry{
-			valid: true, uop: *u, seq: c.seq,
-			rdPhys: rd, rdOld: -1, flPhys: fl, flOld: -1,
-			src:          [3]int{c.srcPhys(th, u.Ra), c.srcPhysB(th, u), c.srcPhys(th, u.Rc)},
-			state:        stateWaiting,
-			cluster:      cl,
-			predTarget:   f.predTarget,
-			predSnapshot: f.predSnapshot,
-			rasSnap:      f.rasSnap,
-			hasRASSnap:   f.hasRASSnap,
+		// Field by field, so the uop is copied once and straight into
+		// the slot.
+		*e = robEntry{}
+		e.valid, e.uop, e.seq = true, *u, c.seq
+		e.rdPhys, e.rdOld, e.flPhys, e.flOld = rd, -1, fl, -1
+		e.src = [3]int{c.srcPhys(th, u.Ra), c.srcPhysB(th, u), c.srcPhys(th, u.Rc)}
+		e.state = stateWaiting
+		e.cluster = cl
+		e.predTarget, e.predSnapshot = f.predTarget, f.predSnapshot
+		e.rasTop, e.hasRASSnap = f.rasTop, f.hasRASSnap
+		if f.hasRASSnap {
+			copy(th.robRASAt(slot), th.fetchRASAt(fslot))
 		}
 		if rd >= 0 {
 			e.rdOld = th.rat[u.Rd]

@@ -51,7 +51,7 @@ type guest struct {
 
 // buildGuest maps code/data/stacks for n VCPUs sharing one address
 // space (threads get stacks at stackTop - 0x4000*id).
-func buildGuest(t *testing.T, code []byte, n int) *guest {
+func buildGuest(t testing.TB, code []byte, n int) *guest {
 	t.Helper()
 	pm := mem.NewPhysMem()
 	as := mem.NewAddressSpace(pm)
@@ -89,7 +89,7 @@ func (g *guest) newCtx(id int) *vm.Context {
 	return ctx
 }
 
-func asmProg(t *testing.T, build func(a *x86.Assembler)) []byte {
+func asmProg(t testing.TB, build func(a *x86.Assembler)) []byte {
 	t.Helper()
 	a := x86.NewAssembler(codeVA)
 	build(a)

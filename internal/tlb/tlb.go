@@ -53,9 +53,11 @@ type way struct {
 	lru   uint64 // last-use stamp
 }
 
-// TLB is a set-associative TLB with true-LRU replacement.
+// TLB is a set-associative TLB with true-LRU replacement. The sets
+// are consecutive runs of assoc ways in one backing array.
 type TLB struct {
-	sets    [][]way
+	ways    []way
+	assoc   int
 	setMask uint64
 	stamp   uint64
 }
@@ -73,16 +75,18 @@ func New(entries, assoc int) *TLB {
 		nsets = 1
 	}
 	nsets = ceilPow2(nsets)
-	t := &TLB{sets: make([][]way, nsets), setMask: uint64(nsets - 1)}
-	for i := range t.sets {
-		t.sets[i] = make([]way, assoc)
-	}
-	return t
+	return &TLB{ways: make([]way, nsets*assoc), assoc: assoc, setMask: uint64(nsets - 1)}
+}
+
+// set returns the ways of the set vpn maps to.
+func (t *TLB) set(vpn uint64) []way {
+	base := int(vpn&t.setMask) * t.assoc
+	return t.ways[base : base+t.assoc : base+t.assoc]
 }
 
 // Lookup probes the TLB for vpn, updating LRU state on a hit.
 func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
-	set := t.sets[vpn&t.setMask]
+	set := t.set(vpn)
 	for i := range set {
 		if set[i].valid && set[i].entry.VPN == vpn {
 			t.stamp++
@@ -96,7 +100,7 @@ func (t *TLB) Lookup(vpn uint64) (Entry, bool) {
 // Insert fills the TLB with e, evicting the LRU way of its set. If the
 // VPN is already present its entry is refreshed in place.
 func (t *TLB) Insert(e Entry) {
-	set := t.sets[e.VPN&t.setMask]
+	set := t.set(e.VPN)
 	t.stamp++
 	victim := 0
 	for i := range set {
@@ -119,16 +123,14 @@ func (t *TLB) Insert(e Entry) {
 // Flush invalidates every entry (CR3 reload semantics; no global pages
 // or ASIDs are modeled, matching the paper's configuration).
 func (t *TLB) Flush() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i].valid = false
-		}
+	for i := range t.ways {
+		t.ways[i].valid = false
 	}
 }
 
 // FlushPage invalidates the entry for vpn if present (invlpg).
 func (t *TLB) FlushPage(vpn uint64) {
-	set := t.sets[vpn&t.setMask]
+	set := t.set(vpn)
 	for i := range set {
 		if set[i].valid && set[i].entry.VPN == vpn {
 			set[i].valid = false
@@ -137,7 +139,7 @@ func (t *TLB) FlushPage(vpn uint64) {
 }
 
 // Size returns the total number of entries.
-func (t *TLB) Size() int { return len(t.sets) * len(t.sets[0]) }
+func (t *TLB) Size() int { return len(t.ways) }
 
 // HierarchyResult reports which level of a two-level TLB hierarchy
 // satisfied a lookup.

@@ -80,7 +80,7 @@ func TestLRUStackProperty(t *testing.T) {
 			probe := New(1, 1) // do not disturb LRU in tl; peek manually
 			_ = probe
 			found := false
-			for _, w := range tl.sets[0] {
+			for _, w := range tl.set(0) {
 				if w.valid && w.entry.VPN == want {
 					found = true
 				}

@@ -115,14 +115,16 @@ func (a *Assembler) Bytes() ([]byte, error) {
 	return a.buf, nil
 }
 
-// Emit encodes inst and appends it.
+// Emit encodes inst and appends it. The encoder writes straight into
+// the assembler's buffer; an instruction that fails to encode leaves
+// the buffer's length unchanged.
 func (a *Assembler) Emit(inst Inst) {
-	b, err := Encode(&inst)
-	if err != nil {
+	e := encoder{buf: a.buf}
+	if err := e.encode(&inst); err != nil {
 		a.fail(err)
 		return
 	}
-	a.buf = append(a.buf, b...)
+	a.buf = e.buf
 }
 
 // Raw appends raw bytes (data or hand-rolled encodings).
