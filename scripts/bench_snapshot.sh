@@ -2,10 +2,11 @@
 # bench_snapshot: run the paper-replication benchmark suite and append
 # a dated snapshot to BENCH_core.json, the core-simulator throughput
 # trajectory (sibling of BENCH_conformance.json). Each benchmark's
-# ns/op plus its custom ReportMetric columns (sim-cycles/s, mispredict
-# rates, ablation deltas, ...) are captured verbatim, so regressions in
-# simulator speed or model behavior show up as a diff in version
-# control, not as a feeling.
+# ns/op, B/op and allocs/op plus its custom ReportMetric columns
+# (sim-cycles/s, mispredict rates, ablation deltas, ...) are captured
+# verbatim, so regressions in simulator speed, allocation churn or
+# model behavior show up as a diff in version control, not as a
+# feeling.
 #
 # Knobs: BENCH_PATTERN (go test -bench regexp, default the full suite),
 # BENCH_COUNT (repetitions, default 1), BENCH_OUT (default
@@ -18,8 +19,8 @@ out="${BENCH_OUT:-BENCH_core.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "== go test -bench '$pattern' -count $count (run log: stderr)"
-go test -run '^$' -bench "$pattern" -benchtime 1x -count "$count" . | tee "$raw" >&2
+echo "== go test -bench '$pattern' -benchmem -count $count (run log: stderr)"
+go test -run '^$' -bench "$pattern" -benchmem -benchtime 1x -count "$count" . | tee "$raw" >&2
 
 date="$(date +%Y-%m-%d)"
 entry=$(awk -v date="$date" '
